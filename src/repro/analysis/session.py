@@ -84,7 +84,8 @@ class AnalysisStats:
     #: Successor-cache hits/misses (mirrors the memoizing semantics).
     successor_cache_hits: int = 0
     successor_cache_misses: int = 0
-    #: Distinct hash-consed states in the intern table.
+    #: Distinct states that passed through the semantics' intern() or
+    #: successors() (spine sub-states of its state table excluded).
     interned_states: int = 0
     #: Embedding queries answered by the session's EmbeddingIndex.
     embedding_calls: int = 0
@@ -225,7 +226,7 @@ class AnalysisSession:
         full exploration: growing it to budget ``2N`` after a pause at
         ``N`` yields state-for-state the same graph as a fresh ``2N`` run.
     semantics:
-        The shared :class:`MemoizingSemantics` (successor cache + intern
+        The shared :class:`MemoizingSemantics` (successor cache + state
         table), also used by the procedures' auxiliary searches.
     embedding_index:
         Session-lifetime embedding memoisation (signature-pruned, keyed

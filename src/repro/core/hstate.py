@@ -10,9 +10,14 @@ by scheme nodes; the pair ``(q, σ)`` is one invocation, currently at node
 ``q``, together with the family ``σ`` of children invocations it has spawned.
 
 The implementation is an immutable, canonically-sorted tuple of
-``(node, child_state)`` pairs.  Canonicalisation makes equality and hashing
-of these nested multisets O(size) after construction, which the analysis
-algorithms rely on heavily.
+``(node, child_state)`` pairs.  A state's hash is computed once, at
+construction, from its nodes and its children's cached hashes, so it costs
+O(width) and ``hash()`` is O(1) afterwards.  Equality is O(1) for the same
+instance and structural otherwise.  Given a per-session table (a dict
+from canonical items tuple to state), :meth:`HState.replace` and
+:meth:`HState.inserted` build each distinct (sub)state at most once, so
+equal states from one table are the same object (see docs/performance.md,
+"State kernel").
 
 The textual notation of the paper is supported: the state pictured in
 Fig. 3 is written ``q1,{q9,{q11},q12,{q10}}`` and both :func:`HState.parse`
@@ -109,17 +114,11 @@ class HState:
     __slots__ = ("_items", "_key", "_hash", "_size", "_height", "_signature")
 
     def __init__(self, items: Iterable[Tuple[str, "HState"]] = ()) -> None:
-        pairs: List[Tuple[str, HState]] = []
-        for node, child in items:
-            if not isinstance(node, str) or not node:
-                raise StateError(f"invocation node must be a non-empty string, got {node!r}")
-            if not isinstance(child, HState):
-                raise StateError(f"child state must be an HState, got {type(child).__name__}")
-            pairs.append((node, child))
-        pairs.sort(key=lambda pair: (pair[0], pair[1]._key))
+        pairs = _checked(items)
+        pairs.sort(key=_order)
         self._items: Tuple[Tuple[str, HState], ...] = tuple(pairs)
         self._key: Tuple = tuple((node, child._key) for node, child in self._items)
-        self._hash: int = hash(self._key)
+        self._hash: int = hash(tuple((node, child._hash) for node, child in self._items))
         self._size: int = sum(1 + child._size for _, child in self._items)
         self._height: int = max((1 + child._height for _, child in self._items), default=0)
         counts: Dict[str, int] = {}
@@ -238,8 +237,8 @@ class HState:
 
     def __eq__(self, other: object) -> bool:
         if self is other:
-            # hash-consed states (see MemoizingSemantics.intern) collapse
-            # equality to identity on the exploration hot paths
+            # states from one table collapse equality to identity on
+            # the exploration hot paths; others take the structural route
             return True
         if not isinstance(other, HState):
             return NotImplemented
@@ -269,7 +268,7 @@ class HState:
             return self
         if not self._items:
             return other
-        return HState(self._items + other._items)
+        return self.inserted(other._items)
 
     def __sub__(self, other: "HState") -> "HState":
         """Multiset difference; *other* must be included at top level."""
@@ -365,7 +364,12 @@ class HState:
             state = state._items[index][1]
         return state._items[path[-1]]
 
-    def replace(self, path: Path, replacement: Iterable[Tuple[str, "HState"]]) -> "HState":
+    def replace(
+        self,
+        path: Path,
+        replacement: Iterable[Tuple[str, "HState"]],
+        table: Optional[Dict[Tuple, "HState"]] = None,
+    ) -> "HState":
         """Rebuild the state with the invocation at *path* replaced.
 
         *replacement* is a (possibly empty) collection of invocations that
@@ -373,27 +377,47 @@ class HState:
         all transition rules: ``action``/``wait`` replace ``(q,σ)`` by
         ``(q',σ)``, ``call`` by ``(q', σ + {(q'',∅)})``, and ``end`` by the
         items of ``σ`` (children are released into the enclosing context).
+
+        Only the spine from the root to *path* is rebuilt; with a *table*,
+        each rebuilt spine node is looked up there first and constructed
+        only when it is new.
         """
         if not path:
             raise StateError("the empty path does not address an invocation")
-        return self._replace(path, 0, tuple(replacement))
+        return self._replace(path, 0, _checked(replacement), table)
 
     def _replace(
         self,
         path: Path,
         depth: int,
-        replacement: Tuple[Tuple[str, "HState"], ...],
+        replacement: List[Tuple[str, "HState"]],
+        table: Optional[Dict[Tuple, "HState"]],
     ) -> "HState":
         index = path[depth]
         if index >= len(self._items):
             raise StateError(f"path {path!r} does not address an invocation")
         items = list(self._items)
         if depth == len(path) - 1:
-            items[index : index + 1] = list(replacement)
+            del items[index]
+            new = replacement
         else:
-            node, child = items[index]
-            items[index] = (node, child._replace(path, depth + 1, replacement))
-        return HState(items)
+            node, child = items.pop(index)
+            new = [(node, child._replace(path, depth + 1, replacement, table))]
+        for item in new:
+            _insort(items, item)
+        return _built(tuple(items), table)
+
+    def inserted(
+        self, items: Iterable[Tuple[str, "HState"]], table: Optional[Dict[Tuple, "HState"]] = None
+    ) -> "HState":
+        """The state with the invocations *items* added (``σ + items``).
+
+        Like :meth:`replace`, the result is looked up in *table* first.
+        """
+        merged = list(self._items)
+        for item in _checked(items):
+            _insort(merged, item)
+        return _built(tuple(merged), table)
 
     # ------------------------------------------------------------------
     # Notation (the paper's concrete syntax, Fig. 3)
@@ -436,6 +460,59 @@ class HState:
 
     def __repr__(self) -> str:
         return f"HState.parse({self.to_notation()!r})"
+
+
+def _checked(items: Iterable[Tuple[str, HState]]) -> List[Tuple[str, HState]]:
+    """*items* as a list of validated ``(node, child)`` pairs."""
+    pairs: List[Tuple[str, HState]] = []
+    for node, child in items:
+        if not isinstance(node, str) or not node:
+            raise StateError(f"invocation node must be a non-empty string, got {node!r}")
+        if not isinstance(child, HState):
+            raise StateError(f"child state must be an HState, got {type(child).__name__}")
+        pairs.append((node, child))
+    return pairs
+
+
+def _order(item: Tuple[str, HState]) -> Tuple:
+    """The canonical sort key of one invocation: ``(node, child._key)``."""
+    return (item[0], item[1]._key)
+
+
+def _insort(items: List[Tuple[str, HState]], item: Tuple[str, HState]) -> None:
+    """Insert *item* into the canonically sorted *items*, keeping them sorted.
+
+    ``bisect.insort(..., key=)`` would do this, but its ``key`` needs
+    Python 3.10 and the package supports 3.9.
+    """
+    key = _order(item)
+    lo, hi = 0, len(items)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < _order(items[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    items.insert(lo, item)
+
+
+def _built(items: Tuple[Tuple[str, HState], ...], table: Optional[Dict[Tuple, HState]]) -> HState:
+    """The state with the canonically sorted *items*, from *table* if given.
+
+    *table* maps a canonical items tuple to the one state built for it.
+    Every state in it was built by the validating :class:`HState`
+    constructor, so a miss costs exactly one construction and a hit none.
+    Two threads that miss on the same key at once may both construct;
+    ``setdefault`` keeps the first insertion and hands it to both, so a
+    race wastes a construction but never yields a wrong state.
+    """
+    if table is None:
+        return HState(items)
+    state = table.get(items)
+    if state is None:
+        state = HState(items)
+        state = table.setdefault(state._items, state)
+    return state
 
 
 def _tokenize_notation(text: str) -> List[Tuple[str, int]]:

@@ -27,8 +27,8 @@ theorem of this relation and is property-tested in the test-suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import StateError
 from .alphabet import TAU
@@ -71,6 +71,10 @@ class AbstractSemantics:
     The object is stateless apart from the scheme; all methods are pure.
     """
 
+    #: Where successor targets are hash-consed; ``None`` builds every
+    #: target afresh (see :class:`MemoizingSemantics`).
+    _table: Optional[Dict[Tuple, HState]] = None
+
     def __init__(self, scheme: RPScheme) -> None:
         self.scheme = scheme
 
@@ -90,21 +94,22 @@ class AbstractSemantics:
         self, state: HState, path: Path, node_id: str, children: HState
     ) -> Iterator[Transition]:
         node = self.scheme.node(node_id)
+        table = self._table
         if node.kind in (NodeKind.ACTION, NodeKind.TEST):
             rule = "action" if node.kind is NodeKind.ACTION else "test"
             for branch, succ in enumerate(node.successors):
-                target = state.replace(path, ((succ, children),))
+                target = state.replace(path, ((succ, children),), table)
                 yield Transition(state, node.label, target, rule, node_id, path, branch)
         elif node.kind is NodeKind.PCALL:
-            spawned = children + HState.leaf(node.invoked)
-            target = state.replace(path, ((node.successors[0], spawned),))
+            spawned = children.inserted(((node.invoked, EMPTY),), table)
+            target = state.replace(path, ((node.successors[0], spawned),), table)
             yield Transition(state, TAU, target, "call", node_id, path, 0)
         elif node.kind is NodeKind.WAIT:
             if children.is_empty():
-                target = state.replace(path, ((node.successors[0], EMPTY),))
+                target = state.replace(path, ((node.successors[0], EMPTY),), table)
                 yield Transition(state, TAU, target, "wait", node_id, path, 0)
         elif node.kind is NodeKind.END:
-            target = state.replace(path, children.items)
+            target = state.replace(path, children.items, table)
             yield Transition(state, TAU, target, "end", node_id, path, None)
 
     # ------------------------------------------------------------------
@@ -193,14 +198,15 @@ class MemoizingSemantics(AbstractSemantics):
 
     The relation of ``M_G`` is pure, so the successor list of a state never
     changes; analysis sessions compute it at most once and replay it from
-    the cache on every later query.  Two further tricks pay on hot paths:
-
-    * **hash-consing** — every state flowing through the cache is interned,
-      so equal states collapse to one instance and ``HState.__eq__`` hits
-      its identity fast path inside set/dict probes;
-    * **target rewriting** — cached transitions point at the *interned*
-      target instance, so downstream graphs and frontiers only ever hold
-      canonical states.
+    the cache on every later query.  The object also owns the session's
+    one construction table (canonical items tuple → state): every
+    successor target and every rebuilt spine node under it is looked up
+    there before it is constructed, so each distinct (sub)state is built
+    at most once and equal states collapse to one instance —
+    ``HState.__eq__`` then hits its identity fast path inside set/dict
+    probes.  :meth:`intern` adds
+    states from outside (parsed, unpickled, built by hand) to the same
+    table.  The table lives exactly as long as this object.
 
     The returned lists are owned by the cache: callers must not mutate
     them.  ``cache_hits``/``cache_misses`` and ``interned_states`` feed the
@@ -210,22 +216,24 @@ class MemoizingSemantics(AbstractSemantics):
     def __init__(self, scheme) -> None:
         super().__init__(scheme)
         self._successors: Dict[HState, List[Transition]] = {}
-        self._intern: Dict[HState, HState] = {}
+        self._table: Dict[Tuple, HState] = {}
+        #: id()s of the table's states that passed through intern() or
+        #: successors(); the table keeps them alive, so the ids stay unique.
+        #: Spine sub-states are in the table but not counted here.
+        self._interned: Set[int] = set()
         self.cache_hits = 0
         self.cache_misses = 0
 
     def intern(self, state: HState) -> HState:
         """The canonical instance equal to *state* (inserting if new)."""
-        canonical = self._intern.get(state)
-        if canonical is None:
-            self._intern[state] = state
-            return state
+        canonical = self._table.setdefault(state.items, state)
+        self._interned.add(id(canonical))
         return canonical
 
     @property
     def interned_states(self) -> int:
-        """Number of distinct states in the intern table."""
-        return len(self._intern)
+        """Number of distinct states passed through intern/successors."""
+        return len(self._interned)
 
     def successors(self, state: HState) -> List[Transition]:
         cached = self._successors.get(state)
@@ -234,11 +242,9 @@ class MemoizingSemantics(AbstractSemantics):
             return cached
         self.cache_misses += 1
         state = self.intern(state)
-        transitions = []
-        for transition in super().successors(state):
-            target = self.intern(transition.target)
-            if target is not transition.target:
-                transition = replace(transition, target=target)
-            transitions.append(transition)
+        transitions = super().successors(state)
+        interned = self._interned
+        for transition in transitions:
+            interned.add(id(transition.target))
         self._successors[state] = transitions
         return transitions

@@ -7,10 +7,11 @@ for nodes ``q1..qn``, local memories ``v1..vn`` and interpreted states
 state: ``⟨u, σ⟩ ∈ GMem × M_I(G)``.
 
 Like :class:`~repro.core.hstate.HState`, interpreted states are immutable
-canonical multisets — sorted by a deterministic key — so they hash and
-compare in O(size).  The forgetful projection :meth:`IState.forget`
-erases the memories, landing in ``M(G)``; it is the abstraction map of
-the Preservation Theorem.
+canonical multisets — sorted by a deterministic key.  The hash is computed
+once, in O(width), from each invocation's node, memory key and child hash;
+equality is O(1) for the same instance and structural otherwise.  The
+forgetful projection :meth:`IState.forget` erases the memories, landing in
+``M(G)``; it is the abstraction map of the Preservation Theorem.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ class IState:
         self._key: Tuple = tuple(
             (node, _memory_key(memory), child._key) for node, memory, child in self._items
         )
-        self._hash = hash(self._key)
+        self._hash = hash(
+            tuple(
+                (node, memory_key, child._hash)
+                for (node, memory_key, _), (_, _, child) in zip(self._key, self._items)
+            )
+        )
         self._size = sum(1 + child._size for _, _, child in self._items)
 
     # ------------------------------------------------------------------
@@ -85,6 +91,8 @@ class IState:
         return iter(self._items)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, IState):
             return NotImplemented
         return self._hash == other._hash and self._key == other._key

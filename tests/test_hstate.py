@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.generate import random_hstate
 from repro.core.hstate import EMPTY, HState
 from repro.errors import NotationError, StateError
 
@@ -245,3 +246,105 @@ class TestOrderingKey:
     def test_states_sortable(self, states):
         ordered = sorted(states)
         assert sorted(ordered) == ordered
+
+
+# ----------------------------------------------------------------------
+# The hash-consing table (the kernel path of the semantics)
+# ----------------------------------------------------------------------
+
+
+def _untabled_replace(state, path, replacement):
+    """The reference rewrite: rebuild the spine through ``HState(items)``."""
+    items = list(state.items)
+    index = path[0]
+    if len(path) == 1:
+        items[index : index + 1] = list(replacement)
+    else:
+        node, child = items[index]
+        items[index] = (node, _untabled_replace(child, path[1:], replacement))
+    return HState(items)
+
+
+def _local_rewrites(children, table):
+    """One replacement per local rule shape: action/test, call, wait, end."""
+    spawned = children.inserted((("c", EMPTY),), table)
+    assert spawned == HState(children.items + (("c", EMPTY),))
+    return [
+        (("b", children),),
+        (("a", spawned),),
+        (("c", EMPTY),),
+        children.items,
+    ]
+
+
+def _same_state(got, expected):
+    assert got == expected
+    assert got.items == expected.items
+    assert got.to_notation() == expected.to_notation()
+    assert hash(got) == hash(expected)
+    assert got.sort_key() == expected.sort_key()
+    assert got.signature is expected.signature
+
+
+class TestStateTable:
+    def test_table_path_equals_untabled_route(self):
+        table = {}
+        for seed in range(80):
+            state = random_hstate(seed, max_size=9)
+            for path, _node, children in state.positions():
+                for replacement in _local_rewrites(children, table):
+                    expected = _untabled_replace(state, path, replacement)
+                    got = state.replace(path, replacement, table)
+                    _same_state(got, expected)
+                    _same_state(state.replace(path, replacement), expected)
+                    _same_state(HState.parse(got.to_notation()), got)
+
+    def test_equal_results_are_identical(self):
+        table = {}
+        for seed in range(40):
+            state = random_hstate(seed, max_size=9)
+            twin = HState.parse(state.to_notation())  # equal, not identical
+            for path, _node, children in state.positions():
+                for replacement in _local_rewrites(children, table):
+                    first = state.replace(path, replacement, table)
+                    assert state.replace(path, replacement, table) is first
+                    assert twin.replace(path, replacement, table) is first
+        canonical = {}
+        for state in table.values():
+            assert canonical.setdefault(state, state) is state
+            assert table[state.items] is state
+
+    def test_table_miss_builds_once(self, monkeypatch):
+        table = {}
+        state = HState.parse("a,{b,{c}},b")
+        constructions = []
+        construct = HState.__init__
+
+        def counted(self, items=()):
+            constructions.append(self)
+            construct(self, items)
+
+        monkeypatch.setattr(HState, "__init__", counted)
+        built = state.replace((0, 0), (("c", EMPTY),), table)
+        assert len(constructions) == 2  # the rebuilt child {c} and the root
+        assert len(table) == 2
+        assert state.replace((0, 0), (("c", EMPTY),), table) is built
+        assert len(constructions) == 2 and len(table) == 2
+        assert state.replace((0, 0), (("c", EMPTY),)) == built  # untabled
+        assert len(constructions) == 4
+
+    @pytest.mark.parametrize(
+        "replacement",
+        [(("", EMPTY),), ((3, EMPTY),), (("q1", "q2"),), (("q1", None),)],
+    )
+    def test_bad_items_rejected_with_a_warm_table(self, replacement):
+        table = {}
+        state = HState.parse("q0,{q1},q2")
+        for path, _node, children in state.positions():
+            state.replace(path, (("q1", children),), table)
+        with pytest.raises(StateError):
+            state.replace((0,), replacement, table)
+        with pytest.raises(StateError):
+            state.replace((0, 0), replacement, table)
+        with pytest.raises(StateError):
+            state.inserted(replacement, table)

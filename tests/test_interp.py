@@ -90,6 +90,21 @@ class TestIState:
         )
         assert a == b and hash(a) == hash(b)
 
+    def test_nested_canonicity_across_build_orders(self):
+        inner_a = IState(
+            (("q2", VarStore(y=2), IState.empty()), ("q1", UNIT, IState.leaf("q3", UNIT)))
+        )
+        inner_b = IState(
+            (("q1", UNIT, IState.leaf("q3", UNIT)), ("q2", VarStore(y=2), IState.empty()))
+        )
+        a = IState((("q0", VarStore(x=1), inner_a), ("q4", UNIT, IState.empty())))
+        b = IState((("q4", UNIT, IState.empty()), ("q0", VarStore(x=1), inner_b)))
+        assert inner_a is not inner_b and a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.to_notation() == b.to_notation()
+        assert a.forget() == b.forget() and hash(a.forget()) == hash(b.forget())
+        assert a == a and a != IState((("q0", VarStore(x=1), inner_a),))
+
     def test_memory_distinguishes_states(self):
         a = IState.leaf("q0", VarStore(x=1))
         b = IState.leaf("q0", VarStore(x=2))

@@ -1,12 +1,18 @@
 """Tests for the abstract semantics M_G (Definition 2, Proposition 3)."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.session import AnalysisSession
 from repro.core.alphabet import TAU
+from repro.core.generate import random_hstate
 from repro.core.hstate import EMPTY, HState
-from repro.core.semantics import AbstractSemantics
+from repro.core.semantics import AbstractSemantics, MemoizingSemantics
 from repro.errors import StateError
 from repro.zoo import fig2_scheme, spawner_loop, wait_blocked
 
@@ -208,3 +214,78 @@ class TestQueries:
     def test_step(self, sem):
         assert sem.step(P("q0"), "a1") == [P("q1")]
         assert sem.step(P("q0"), "zz") == []
+
+
+def _shape(transition):
+    """Everything observable about a transition, target by value."""
+    target = transition.target
+    return (
+        transition.label,
+        transition.rule,
+        transition.node,
+        transition.path,
+        transition.branch,
+        target.to_notation(),
+        hash(target),
+        target.sort_key(),
+    )
+
+
+class TestHashConsedSemantics:
+    """The table path of MemoizingSemantics against the untabled one.
+
+    fig2 has every node kind, so random states over its nodes fire every
+    local rule (action, test, call, wait, end) at every position.
+    """
+
+    SEEDS = range(120)
+
+    def _states(self, scheme):
+        nodes = list(scheme.node_ids)
+        return [random_hstate(seed, nodes=nodes, max_size=8) for seed in self.SEEDS]
+
+    def test_memoizing_successors_equal_untabled(self):
+        scheme = fig2_scheme()
+        plain = AbstractSemantics(scheme)
+        memo = MemoizingSemantics(scheme)
+        rules = set()
+        for state in self._states(scheme):
+            expected = plain.successors(state)
+            got = memo.successors(HState.parse(state.to_notation()))
+            assert [_shape(t) for t in got] == [_shape(t) for t in expected]
+            for transition in got:
+                rules.add(transition.rule)
+                reparsed = HState.parse(transition.target.to_notation())
+                assert reparsed == transition.target
+                assert hash(reparsed) == hash(transition.target)
+        assert rules == {"action", "test", "call", "wait", "end"}
+
+    def test_equal_targets_are_identical(self):
+        scheme = fig2_scheme()
+        memo = MemoizingSemantics(scheme)
+        canonical = {}
+        for state in self._states(scheme):
+            for transition in memo.successors(state):
+                target = transition.target
+                assert canonical.setdefault(target, target) is target
+                assert memo.intern(HState.parse(target.to_notation())) is target
+                # a target re-expanded as a source keeps its identity
+                for again in memo.successors(target):
+                    assert canonical.setdefault(again.target, again.target) is again.target
+
+    def test_dropping_a_session_frees_its_table(self):
+        session = AnalysisSession(fig2_scheme())
+        session.explore(max_states=300)
+        semantics = weakref.ref(session.semantics)
+        table = session.semantics._table
+        assert len(table) >= len(session.graph)
+        # a spine sub-state: only the table refers to it
+        graph_states = set(session.graph.states)
+        state = max(
+            (s for s in table.values() if s not in graph_states), key=lambda s: s.size
+        )
+        del session, table, graph_states
+        gc.collect()
+        assert semantics() is None
+        # nothing but this frame holds it now: no table outlives its session
+        assert sys.getrefcount(state) == 2

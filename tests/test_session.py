@@ -162,6 +162,14 @@ class TestAnalysisStats:
         assert snapshot["states_discovered"] == stats.states_discovered
         assert "states expanded" in stats.render()
 
+    @pytest.mark.parametrize("name,factory", ZOO_BOUNDED, ids=[n for n, _ in ZOO_BOUNDED])
+    def test_interned_states_counts_graph_states_not_sub_states(self, name, factory):
+        session = AnalysisSession(factory())
+        assert session.explore().complete
+        stats = session.stats
+        assert stats.interned_states == len(session.graph)
+        assert len(session.semantics._table) >= stats.interned_states
+
     def test_single_exploration_across_many_queries(self):
         scheme = terminating_chain(5)
         session = AnalysisSession(scheme)
