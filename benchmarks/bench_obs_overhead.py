@@ -37,27 +37,14 @@ sub-millisecond readings, while the per-thread clock stays precise.
 Wall-clock cells still land in the artefact for the regression
 watchdog.
 
-A second matrix measures **worker tracing** (distributed tracing):
-a full ``workers=2`` sharded exploration (``session.explore`` to the
-worker cap — exploration is where chunk dispatch and worker-side span
-capture live; a boundedness query early-exits on a pump and would time
-noise), spans off (``workers`` arm: a disabled tracer, so the dispatch
-protocol carries no trace info and workers skip span construction
-entirely) versus spans on (``workers_traced``: JSONL tracing, so every
-chunk runs under a real buffering worker-side tracer whose records
-ship back with the results and are re-based by the coordinator).
-These arms are timed on **wall clock** — the traced work happens in
-worker *processes*, invisible to the coordinator's thread-CPU clock —
-and interleaved like the main matrix.
-
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--smoke]
 
 Writes ``BENCH_obs_overhead.json`` (``repro-bench/1`` schema).  The
-acceptance bar: **disabled-vs-baseline, recorder-vs-baseline,
-profiler-vs-baseline AND worker-tracing aggregate overhead < 5%**; the
-artefact records the percentages under ``results.aggregate``.
+acceptance bar: **disabled-vs-baseline, recorder-vs-baseline AND
+profiler-vs-baseline aggregate overhead < 5%**; the artefact records the
+percentages under ``results.aggregate``.
 """
 
 from __future__ import annotations
@@ -80,17 +67,6 @@ MAX_STATES = 2_000
 REPEATS = 7
 
 ARMS = ("baseline", "disabled", "recorder", "traced", "profiler")
-
-#: Worker-tracing matrix: sharded sessions are slower to build (process
-#: spawn) and wall-clock timed, so fewer repeats on a scheme subset —
-#: widemix4 explored to WORKER_MAX_STATES runs ~0.5s/repeat, large
-#: enough that per-chunk tracing cost is measured, not timer noise.
-WORKER_ARMS = ("workers", "workers_traced")
-WORKER_REPEATS = 5
-WORKER_SCHEMES = [("widemix4", 1)]
-WORKER_MAX_STATES = 2_000
-WORKERS = 2
-
 
 @contextlib.contextmanager
 def _obs_stubbed():
@@ -118,66 +94,6 @@ def _run_boundedness(scheme, tracer):
         return {"holds": verdict.holds}
     except AnalysisBudgetExceeded as exc:
         return {"budget_exceeded": True, "explored": exc.explored}
-
-
-def _run_explore_sharded(scheme, tracer):
-    """One cold sharded exploration (pool spawn + explore + reap, timed)."""
-    session = AnalysisSession(scheme, tracer=tracer, workers=WORKERS)
-    try:
-        session.explore(WORKER_MAX_STATES)
-        return {
-            "states": len(session.graph.states),
-            "transitions": session.graph.num_transitions,
-        }
-    finally:
-        session.close()
-
-
-def _worker_tracing_matrix(harness, repeats):
-    """Best-of wall times for the workers / workers_traced arms."""
-    trace_path = os.path.join(
-        tempfile.gettempdir(), "bench_obs_workers.jsonl"
-    )
-    cells = []
-    totals = {arm: 0.0 for arm in WORKER_ARMS}
-    for name, index in WORKER_SCHEMES:
-        factory = ZOO_WQO_BENCH[index][1]
-        assert ZOO_WQO_BENCH[index][0] == name, "scheme table moved"
-        row = {"scheme": name, "workers": WORKERS}
-        outcomes = {}
-        best = {arm: None for arm in WORKER_ARMS}
-        _run_explore_sharded(factory(), Tracer())  # warmup (spawn, caches)
-        for _ in range(repeats):
-            for arm in WORKER_ARMS:
-                traced = arm == "workers_traced"
-                tracer = Tracer(JsonlSink(trace_path)) if traced else Tracer()
-                wall, outcomes[arm] = harness.measure(
-                    f"{name}/{arm}",
-                    lambda: _run_explore_sharded(factory(), tracer),
-                    warmup=0,
-                    repeats=1,
-                )
-                if traced:
-                    tracer.close()
-                if best[arm] is None or wall < best[arm]:
-                    best[arm] = wall
-        if outcomes["workers_traced"] != outcomes["workers"]:
-            raise AssertionError(
-                f"{name}: worker arms disagree: {outcomes!r}"
-            )
-        for arm in WORKER_ARMS:
-            totals[arm] += best[arm]
-            row[f"{arm}_seconds"] = best[arm]
-        row["worker_tracing_overhead_pct"] = (
-            100.0
-            * (row["workers_traced_seconds"] - row["workers_seconds"])
-            / row["workers_seconds"]
-        )
-        row["outcome"] = outcomes["workers"]
-        cells.append(row)
-    with contextlib.suppress(OSError):
-        os.remove(trace_path)
-    return cells, totals
 
 
 def run(smoke: bool = False) -> tuple:
@@ -253,9 +169,6 @@ def run(smoke: bool = False) -> tuple:
             )
         row["outcome"] = outcomes["disabled"]
         cells.append(row)
-    worker_cells, worker_totals = _worker_tracing_matrix(
-        harness, 1 if smoke else WORKER_REPEATS
-    )
     aggregate = {f"{arm}_seconds": totals[arm] for arm in ARMS}
     aggregate.update({f"{arm}_cpu_seconds": totals_cpu[arm] for arm in ARMS})
     for arm in ARMS[1:]:
@@ -264,13 +177,6 @@ def run(smoke: bool = False) -> tuple:
             * (totals_cpu[arm] - totals_cpu["baseline"])
             / totals_cpu["baseline"]
         )
-    for arm in WORKER_ARMS:
-        aggregate[f"{arm}_seconds"] = worker_totals[arm]
-    aggregate["worker_tracing_overhead_pct"] = (
-        100.0
-        * (worker_totals["workers_traced"] - worker_totals["workers"])
-        / worker_totals["workers"]
-    )
     results = {
         "benchmark": "obs_overhead",
         "smoke": smoke,
@@ -281,18 +187,15 @@ def run(smoke: bool = False) -> tuple:
             "overhead percentages from best-of CPU time"
         ),
         "cells": cells,
-        "worker_cells": worker_cells,
         "aggregate": aggregate,
         "acceptance": {
             "disabled_overhead_budget_pct": 5.0,
             "recorder_overhead_budget_pct": 5.0,
             "profiler_overhead_budget_pct": 5.0,
-            "worker_tracing_overhead_budget_pct": 5.0,
             "within_budget": (
                 aggregate["disabled_overhead_pct"] < 5.0
                 and aggregate["recorder_overhead_pct"] < 5.0
                 and aggregate["profiler_overhead_pct"] < 5.0
-                and aggregate["worker_tracing_overhead_pct"] < 5.0
             ),
         },
     }
@@ -324,11 +227,6 @@ def main(argv=None) -> None:
     print(
         f"profiler overhead: {agg['profiler_overhead_pct']:+.2f}% "
         f"(profiler {agg['profiler_cpu_seconds']:.3f}s cpu)"
-    )
-    print(
-        f"worker tracing   : {agg['worker_tracing_overhead_pct']:+.2f}% "
-        f"(workers {agg['workers_seconds']:.3f}s wall, "
-        f"traced {agg['workers_traced_seconds']:.3f}s wall)"
     )
     if smoke:
         print("smoke run: JSON not written")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -207,17 +206,6 @@ class AnalysisSession:
         once per state expansion (and inside the procedures' auxiliary
         search loops); usually installed per-call by the governed
         procedure wrappers rather than at construction.
-    workers:
-        Exploration worker processes (default 1).  With ``workers=1``
-        the session runs the historical in-process BFS, byte-identical
-        to previous releases; with ``workers=N`` successor computation
-        is sharded across a :class:`repro.analysis.parallel.WorkerPool`
-        while the coordinator applies expansions in frontier order, so
-        the grown graph — and therefore every verdict, checkpoint and
-        stat derived from it — matches the sequential run state for
-        state.  The pool is spawned lazily on the first parallel
-        exploration and torn down by :meth:`close` (or the session's
-        finalizer).
 
     Attributes
     ----------
@@ -250,8 +238,6 @@ class AnalysisSession:
         metrics: Optional[MetricsRegistry] = None,
         semantics: Optional[MemoizingSemantics] = None,
         budget: Optional[Any] = None,
-        workers: int = 1,
-        max_worker_restarts: Optional[int] = None,
     ) -> None:
         self.scheme = scheme
         if semantics is not None and semantics.scheme is not scheme:
@@ -298,31 +284,6 @@ class AnalysisSession:
         #: exploration instead of running one (the serve daemon's
         #: coalescing counter; purely informational).
         self.coalesced_explorations = 0
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise AnalysisError(
-                f"workers must be a positive int, got {workers!r}"
-            )
-        self._workers = workers
-        if max_worker_restarts is not None and (
-            not isinstance(max_worker_restarts, int)
-            or isinstance(max_worker_restarts, bool)
-            or max_worker_restarts < 0
-        ):
-            raise AnalysisError(
-                "max_worker_restarts must be None or a non-negative int, "
-                f"got {max_worker_restarts!r}"
-            )
-        #: Worker respawns tolerated before degrading to sequential
-        #: exploration; ``None`` uses the engine default
-        #: (:data:`repro.analysis.parallel.DEFAULT_MAX_WORKER_RESTARTS`).
-        self.max_worker_restarts = max_worker_restarts
-        #: Worker respawns performed on behalf of this session so far.
-        self._worker_restarts = 0
-        #: Set when the respawn budget ran out: exploration continues
-        #: sequentially until :attr:`workers` is assigned again.
-        self._parallel_degraded = False
-        #: Lazily spawned repro.analysis.parallel.WorkerPool (workers > 1).
-        self._pool = None
         self._frontier_gauge.set(len(self._queue))
         self._sync_stats()
 
@@ -498,62 +459,6 @@ class AnalysisSession:
         return metrics
 
     # ------------------------------------------------------------------
-    # Parallel exploration pool
-    # ------------------------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """Exploration worker processes (1 = the sequential fast path)."""
-        return self._workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise AnalysisError(f"workers must be a positive int, got {value!r}")
-        if value != self._workers and self._pool is not None and self._pool.size != value:
-            # wrong-sized pool: tear it down now, respawn lazily on the
-            # next parallel exploration (a pool left warm while workers
-            # is 1 costs nothing — its processes block in recv)
-            self._pool.close()
-            self._pool = None
-        self._workers = value
-        # an explicit worker-count assignment re-arms a session that
-        # degraded to sequential after exhausting its respawn budget
-        self._parallel_degraded = False
-
-    def _ensure_pool(self):
-        """The session's :class:`~repro.analysis.parallel.WorkerPool`."""
-        pool = self._pool
-        if pool is None or pool.closed or pool.size != self._workers:
-            from .parallel import WorkerPool
-
-            if pool is not None:
-                pool.close()
-            pool = WorkerPool(self.scheme, self._workers)
-            self._pool = pool
-            # a dropped session must not leak worker processes; close()
-            # is idempotent so explicit close + finalize coexist safely
-            weakref.finalize(self, pool.close)
-        return pool
-
-    def close(self) -> None:
-        """Release the worker pool, if one was spawned (idempotent).
-
-        Sequential sessions hold no external resources; calling this is
-        always safe and the session remains usable afterwards — the pool
-        respawns lazily if another parallel exploration runs.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "AnalysisSession":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # Resource governance & checkpointing
     # ------------------------------------------------------------------
 
@@ -646,17 +551,7 @@ class AnalysisSession:
         the frontier, so an interruption — budget exhaustion, an injected
         fault, a detected corruption — always leaves the graph a clean
         resumable BFS prefix.
-
-        With :attr:`workers` > 1 the body below is replaced by the
-        sharded engine (:func:`repro.analysis.parallel.explore_parallel`),
-        which upholds every contract above — same budget resolution, same
-        overshoot rule, same stop-when semantics — and grows the same
-        graph, state for state.
         """
-        if self._workers > 1 and not self._parallel_degraded:
-            from .parallel import explore_parallel
-
-            return explore_parallel(self, max_states, stop_when=stop_when)
         budget = max_states if max_states is not None else DEFAULT_MAX_STATES
         ambient = self.budget
         if ambient is not None:

@@ -65,7 +65,6 @@ __all__ = [
     "AnalysisResponse",
     "resolve_scheme",
     "execute",
-    "worker_expansions",
 ]
 
 #: Wire schema tag of a serialised :class:`AnalysisRequest`.
@@ -188,10 +187,6 @@ class AnalysisRequest:
     budget: Optional[BudgetSpec] = None
     trace: TraceOptions = field(default_factory=TraceOptions)
     request_id: Optional[str] = None
-    #: Exploration worker processes for this query (``None`` = the
-    #: server's default, which is the sequential path).  Honored by
-    #: :func:`execute` and the serve daemon; see docs/performance.md.
-    workers: Optional[int] = None
     #: Propagated distributed-trace context (W3C-shaped:
     #: ``00-<32 hex trace id>-<16 hex parent span id>-01``; an all-zero
     #: parent field means "trace id only").  When set, the server's root
@@ -213,12 +208,6 @@ class AnalysisRequest:
             raise ApiError("request may carry a source or a fingerprint, not both")
         if not isinstance(self.params, Mapping):
             raise ApiError("params must be a mapping")
-        if self.workers is not None and (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise ApiError(f"workers must be a positive int, got {self.workers!r}")
         if self.traceparent is not None and not isinstance(self.traceparent, str):
             raise ApiError(
                 f"traceparent must be a string, got {self.traceparent!r}"
@@ -235,7 +224,6 @@ class AnalysisRequest:
             "budget": self.budget.as_dict() if self.budget is not None else None,
             "trace": self.trace.as_dict(),
             "request_id": self.request_id,
-            "workers": self.workers,
             "traceparent": self.traceparent,
         }
 
@@ -248,6 +236,14 @@ class AnalysisRequest:
             raise ApiError(
                 f"request schema is {schema!r}, expected {REQUEST_SCHEMA!r}"
             )
+        workers = payload.get("workers")
+        if workers is not None and (type(workers) is not int or workers != 1):
+            # older clients send "workers": null; exploration is
+            # sequential, so only the sequential value still parses
+            raise ApiError(
+                f"workers={workers!r} is not supported: parallel exploration "
+                f"was removed, omit the field or send null or 1"
+            )
         budget = payload.get("budget")
         trace = payload.get("trace")
         return cls(
@@ -258,7 +254,6 @@ class AnalysisRequest:
             budget=BudgetSpec.from_dict(budget) if budget is not None else None,
             trace=TraceOptions.from_dict(trace) if trace is not None else TraceOptions(),
             request_id=payload.get("request_id"),
-            workers=payload.get("workers"),
             traceparent=payload.get("traceparent"),
         ).validate()
 
@@ -428,28 +423,6 @@ PROCEDURES: Dict[str, Callable[..., Any]] = {
 # ----------------------------------------------------------------------
 
 
-def worker_expansions(metrics: Mapping[str, Any]) -> Dict[str, int]:
-    """Per-worker states-expanded counts from a metrics snapshot.
-
-    Reads the ``parallel.states_expanded{worker=i}`` labelled children a
-    sharded exploration folds into the session registry; empty for
-    sequential runs.  Keys are worker indices as strings (JSON-stable).
-    """
-    counter = metrics.get("parallel.states_expanded")
-    if not isinstance(counter, Mapping):
-        return {}
-    labels = counter.get("labels")
-    if not isinstance(labels, Mapping):
-        return {}
-    out: Dict[str, int] = {}
-    for key, child in labels.items():
-        if not isinstance(child, Mapping):
-            continue
-        worker = key.strip("{}").split("=", 1)[-1]
-        out[worker] = int(child.get("value", 0))
-    return out
-
-
 def resolve_scheme(request: AnalysisRequest) -> RPScheme:
     """Compile the request's source into a scheme (source requests only)."""
     if request.source is None:
@@ -572,16 +545,7 @@ def execute(
             elapsed_seconds=time.perf_counter() - started_wall,
             traceparent=request.traceparent,
         )
-    owns_session = session is None
-    if owns_session:
-        sess = AnalysisSession(subject, workers=request.workers or 1)
-    else:
-        sess = session
-        if request.workers is not None:
-            # honor the request's knob on a shared (pooled) session; the
-            # serve daemon resets this per query so worker counts never
-            # leak between requests
-            sess.workers = request.workers
+    sess = session if session is not None else AnalysisSession(subject)
     live_budget = budget
     if live_budget is None and request.budget is not None:
         live_budget = request.budget.to_budget(cancel=cancel)
@@ -655,36 +619,22 @@ def execute(
     if ledger is not None:
         try:
             sess.sync_metrics()
-            metrics_snapshot = sess.metrics.as_dict()
-            extra = {
-                "procedure": request.procedure,
-                "request_id": request.request_id,
-                "workers": sess.workers,
-            }
-            expansions = worker_expansions(metrics_snapshot)
-            if expansions:
-                # per-worker attribution, so `rpcheck diff` can tell a
-                # parallelism win from an algorithmic one
-                extra["worker_expansions"] = expansions
-            restarts = metrics_snapshot.get("parallel.worker_restarts")
-            if isinstance(restarts, Mapping) and restarts.get("value"):
-                # worker deaths were survived; make the recovery auditable
-                extra["worker_restarts"] = int(restarts["value"])
-            if metrics_snapshot.get("parallel.degraded", {}).get("value"):
-                extra["parallel_degraded"] = True
             ledger.append(
                 make_entry(
                     kind=ledger_kind,
                     scheme=subject,
                     procedures=dict(response.procedures),
-                    metrics=metrics_snapshot,
+                    metrics=sess.metrics.as_dict(),
                     budget=live_budget,
                     outcome=outcome,
                     error=run_error,
                     wall_seconds=elapsed,
                     cpu_seconds=time.process_time() - started_cpu,
                     run_id=rid,
-                    extra=extra,
+                    extra={
+                        "procedure": request.procedure,
+                        "request_id": request.request_id,
+                    },
                 )
             )
         except (OSError, ValueError):
@@ -693,6 +643,4 @@ def execute(
                 response,
                 details={**response.details, "ledger_error": True},
             )
-    if owns_session:
-        sess.close()
     return response

@@ -17,9 +17,6 @@ Sections:
 * **Self-time treemap** — the per-span-name self-time rollup carried by
   ledger entries, aggregated across runs and laid out as a slice-and-
   dice treemap: the widest boxes are the hot spans.
-* **Worker balance** — for sharded runs (``extra.worker_expansions``),
-  a stacked bar of expansions per worker per run; a lopsided bar means
-  the frontier sharding is unbalanced.
 
 Everything here is plain data-to-string rendering over ledger entry
 dicts; nothing imports the analysis engine.
@@ -269,61 +266,6 @@ def _treemap_svg(entries: List[Dict[str, Any]], *, top: int = 24) -> str:
     return "".join(parts)
 
 
-def _worker_balance(entries: List[Dict[str, Any]], *, last: int = 12) -> str:
-    sharded = [
-        entry
-        for entry in entries
-        if isinstance((entry.get("extra") or {}).get("worker_expansions"), dict)
-        and (entry.get("extra") or {}).get("worker_expansions")
-    ]
-    if not sharded:
-        return (
-            "<p class='empty'>(no sharded runs — run with --workers N to "
-            "populate this section)</p>"
-        )
-    sharded = sharded[-last:]
-    width, bar_h, gap, pad_l, pad_r = 860, 22, 6, 230, 10
-    height = len(sharded) * (bar_h + gap) + gap
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" role="img" '
-        f'aria-label="per-worker expansion balance">'
-    ]
-    usable = width - pad_l - pad_r
-    for row, entry in enumerate(sharded):
-        expansions: Dict[str, Any] = entry["extra"]["worker_expansions"]
-        counts = [
-            (str(worker), float(count))
-            for worker, count in sorted(
-                expansions.items(), key=lambda kv: str(kv[0])
-            )
-            if isinstance(count, (int, float))
-        ]
-        total = sum(c for _, c in counts) or 1.0
-        y = gap + row * (bar_h + gap)
-        label = (
-            f"{(entry.get('scheme') or {}).get('name', '?')} · "
-            f"{entry.get('run_id', '?')[:16]}"
-        )
-        parts.append(
-            f'<text x="{pad_l - 8}" y="{y + bar_h - 6}" class="tick" '
-            f'text-anchor="end">{_esc(label)}</text>'
-        )
-        x = float(pad_l)
-        for index, (worker, count) in enumerate(counts):
-            seg = usable * count / total
-            color = PALETTE[index % len(PALETTE)]
-            share = 100.0 * count / total
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y}" width="{max(seg, 0.5):.1f}" '
-                f'height="{bar_h}" fill="{color}" class="cell">'
-                f"<title>worker {_esc(worker)}: {int(count)} expansions "
-                f"({share:.1f}%)</title></rect>"
-            )
-            x += seg
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 # ----------------------------------------------------------------------
 # Page assembly
 # ----------------------------------------------------------------------
@@ -366,25 +308,12 @@ def render_dashboard(
     *,
     title: str = "rpcheck run ledger",
     source: Optional[str] = None,
-    timeline_svg: Optional[str] = None,
 ) -> str:
-    """The complete dashboard HTML for a list of ledger entries.
-
-    ``timeline_svg`` is an optional pre-rendered inline ``<svg>``
-    fragment (from :func:`repro.obs.timeline.render_timeline_svg`)
-    embedded as a "Worker timeline" section — it follows the same
-    no-script idiom as every other chart, so the page stays
-    self-contained.
-    """
+    """The complete dashboard HTML for a list of ledger entries."""
     generated = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime())
     subtitle_bits = [f"{len(entries)} runs", f"generated {generated}"]
     if source:
         subtitle_bits.insert(0, source)
-    timeline_section = ""
-    if timeline_svg:
-        timeline_section = (
-            "<h2>Worker timeline (traced sharded run)</h2>\n" + timeline_svg
-        )
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -403,9 +332,6 @@ def render_dashboard(
 {_procedures_table(entries)}
 <h2>Span self-time (aggregated across runs)</h2>
 {_treemap_svg(entries)}
-<h2>Per-worker expansion balance (sharded runs)</h2>
-{_worker_balance(entries)}
-{timeline_section}
 <footer>rpcheck-ledger/1 · rendered offline, no external resources</footer>
 </body>
 </html>

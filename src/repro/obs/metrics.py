@@ -408,7 +408,7 @@ class MetricsRegistry:
 
         Thread-safe with respect to this registry's structure: the whole
         fold runs under the registry lock, so concurrent merges from
-        several worker registries serialise instead of interleaving
+        several registries serialise instead of interleaving
         half-applied children.  (See ``docs/observability.md`` for the
         full concurrency contract.)
         """
@@ -445,8 +445,8 @@ def _parse_label_key(text: str) -> Dict[str, str]:
     """Invert the ``{k=v,...}`` rendering used by :meth:`Metric.as_dict`.
 
     Label values containing ``,`` or ``=`` do not round-trip — the wire
-    format is for the registry's own label discipline (worker indices,
-    procedure names, cell names), not arbitrary strings.
+    format is for the registry's own label discipline (procedure
+    names, gap keys, cell names), not arbitrary strings.
     """
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
@@ -492,14 +492,14 @@ def _apply_values(metric: Metric, values: Dict[str, Any]) -> None:
 def registry_from_dict(payload: Dict[str, Any]) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` from :meth:`~MetricsRegistry.as_dict`.
 
-    This is the wire half of the worker-registry contract: a subprocess
-    (one sharded exploration worker, a remote bench runner) snapshots its
-    registry with ``as_dict()``, ships the plain dict across a pipe, and
-    the coordinator rebuilds it here and folds it into the long-lived
+    This is the wire half of the registry contract: a remote process
+    (the serve daemon answering a ``stats`` op, a bench runner)
+    snapshots its registry with ``as_dict()``, ships the plain dict, and
+    the receiver rebuilds it here and can fold it into a long-lived
     registry with :meth:`~MetricsRegistry.merge` — counters add, gauges
     widen their extremes, histograms combine, labelled children
     reattach.  Unknown metric types are skipped rather than rejected, so
-    a newer worker can talk to an older coordinator.
+    a newer sender can talk to an older receiver.
     """
     registry = MetricsRegistry()
     if not isinstance(payload, dict):

@@ -28,13 +28,7 @@ from ..errors import (
     FaultInjected,
 )
 from .budget import Budget, CancelToken, memory_bytes
-from .chaos import (
-    FAULT_KINDS,
-    ChaosSemantics,
-    FaultPlan,
-    ProcessFaultPlan,
-    install_process_faults,
-)
+from .chaos import FAULT_KINDS, ChaosSemantics, FaultPlan
 from .checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_session,
@@ -65,6 +59,4 @@ __all__ = [
     "FaultPlan",
     "ChaosSemantics",
     "FAULT_KINDS",
-    "ProcessFaultPlan",
-    "install_process_faults",
 ]

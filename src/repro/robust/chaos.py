@@ -43,8 +43,6 @@ __all__ = [
     "FaultPlan",
     "ChaosSemantics",
     "FAULT_KINDS",
-    "ProcessFaultPlan",
-    "install_process_faults",
 ]
 
 #: The injectable fault kinds, in plan-evaluation order.
@@ -93,65 +91,6 @@ class FaultPlan:
                 return kind
             draw -= rate
         return None
-
-
-@dataclass(frozen=True)
-class ProcessFaultPlan:
-    """A seeded, deterministic schedule of worker-process kills.
-
-    The process-level counterpart of :class:`FaultPlan`: where that one
-    makes the *semantics* misbehave, this one SIGKILLs exploration
-    worker **processes** of a sharded session
-    (``AnalysisSession(workers=N)``), exercising the supervision path in
-    :mod:`repro.analysis.parallel` — drain, respawn, window replay, and
-    (past the respawn budget) degradation to sequential exploration.
-
-    Windows are numbered ``1, 2, ...`` in coordinator round order
-    (``WorkerPool.rounds`` after the round-start increment, replayed
-    windows included).  :meth:`victims` is a pure function of
-    ``(seed, window)``, so a chaos run is bit-reproducible.  ``kill_at``
-    pins ``(window, worker)`` pairs — the precision tool; ``kill_rate``
-    draws one victim per non-immune window with the given probability.
-    ``max_kills`` bounds total kills (enforced by the pool, which stops
-    injecting once the budget is spent) and ``immune`` exempts the first
-    windows so exploration always gets under way.
-    """
-
-    seed: int = 0
-    kill_rate: float = 0.0
-    kill_at: "FrozenSet[tuple] | tuple" = field(default_factory=tuple)
-    max_kills: int = 1
-    immune: int = 1
-
-    def victims(self, window: int, workers: int) -> tuple:
-        """Worker indices to SIGKILL at *window* (usually empty)."""
-        chosen = []
-        for pinned_window, worker in self.kill_at:
-            if pinned_window == window:
-                chosen.append(worker % workers)
-        if window > self.immune:
-            rng = random.Random(f"{self.seed}:process:{window}")
-            if rng.random() < self.kill_rate:
-                victim = rng.randrange(workers)
-                if victim not in chosen:
-                    chosen.append(victim)
-        return tuple(chosen)
-
-
-def install_process_faults(session, plan: ProcessFaultPlan):
-    """Arm *session*'s worker pool with *plan*; returns the pool.
-
-    The session must be sharded (``workers > 1``).  Spawns the pool if
-    it is not warm yet so the plan survives until exploration starts.
-    """
-    if session.workers < 2:
-        raise ValueError(
-            "process faults need a sharded session (workers > 1), "
-            f"got workers={session.workers}"
-        )
-    pool = session._ensure_pool()
-    pool.fault_plan = plan
-    return pool
 
 
 class ChaosSemantics(MemoizingSemantics):

@@ -241,7 +241,6 @@ class ServeClient:
         stream: bool = False,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
         request_id: Optional[str] = None,
-        workers: Optional[int] = None,
         traceparent: Optional[str] = None,
         **params: Any,
     ) -> AnalysisResponse:
@@ -262,7 +261,6 @@ class ServeClient:
             budget=budget,
             trace=TraceOptions(stream=stream),
             request_id=request_id or uuid.uuid4().hex,
-            workers=workers,
             traceparent=traceparent or self._mint_traceparent(),
         )
         return self.request(request, on_event=on_event)
@@ -300,8 +298,7 @@ class ServeClient:
 
         The ``metrics`` key is a :meth:`~repro.obs.MetricsRegistry.as_dict`
         payload (rebuildable with :func:`~repro.obs.registry_from_dict`)
-        covering every pooled session, including per-worker
-        ``parallel.*{worker=i}`` series from sharded queries.
+        covering every pooled session.
         """
         return self._op("stats", "stats")
 
@@ -361,13 +358,6 @@ def client_main(argv: Optional[List[str]] = None) -> int:
         "--max-states", type=int, help="budget: exploration state cap"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="exploration worker processes for this query (server-side "
-        "sharded exploration; verdicts are identical to sequential)",
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="print tracer events as they arrive",
@@ -415,7 +405,6 @@ def _client_run(args) -> int:
             source=source,
             fingerprint=args.fingerprint,
             budget=budget,
-            workers=args.workers,
             stream=args.stream,
             on_event=on_event if args.stream else None,
             **_parse_params(args.param),

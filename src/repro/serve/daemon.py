@@ -92,8 +92,7 @@ DEFAULT_CONCURRENCY = 4
 #: ``overloaded`` rejection instead of a silently growing queue.
 DEFAULT_MAX_QUEUE = 64
 
-#: Cancel reason installed by the per-query watchdog; ``_run_query``
-#: reaps the session's exploration worker pool when it sees it.
+#: Cancel reason installed by the per-query watchdog.
 _WATCHDOG_REASON = "query watchdog timeout"
 
 
@@ -171,8 +170,8 @@ class ServeDaemon:
         self.concurrency = max(1, concurrency)
         self.max_queue = max(0, max_queue)
         #: Per-query wall-clock watchdog: past this many seconds the
-        #: query's cancel token fires and its session's worker pool is
-        #: reaped, so one stuck query cannot pin a worker thread forever.
+        #: query's cancel token fires, so one stuck query cannot pin a
+        #: worker thread forever.
         self.query_timeout = query_timeout
         self.ledger = (
             Ledger(ledger_path) if ledger_path is not None else None
@@ -182,7 +181,7 @@ class ServeDaemon:
         self.errors = 0
         #: Requests rejected at admission (queue full).
         self.shed = 0
-        #: Queries whose watchdog fired (cancelled + pool reaped).
+        #: Queries the per-query watchdog cancelled.
         self.watchdog_reaped = 0
         #: Queries admitted and not yet answered (executing + queued).
         self._pending = 0
@@ -240,10 +239,6 @@ class ServeDaemon:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
-        # reap exploration worker pools held by warm sessions (no-op for
-        # the common all-sequential pool)
-        for entry in self.pool.entries():
-            entry.session.close()
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
 
@@ -258,8 +253,7 @@ class ServeDaemon:
         ``merge`` and the snapshot accessors are lock-guarded, so the
         result is a consistent-enough scrape (each metric is read
         atomically; cross-metric skew of an in-flight query is
-        acceptable for monitoring).  Includes the per-worker
-        ``parallel.*{worker=i}`` series folded in by sharded sessions.
+        acceptable for monitoring).
         """
         merged = MetricsRegistry()
         merged.counter("serve.served", "queries served since daemon start").inc(
@@ -560,12 +554,9 @@ class ServeDaemon:
                             asyncio.shield(work), self.query_timeout
                         )
                     except asyncio.TimeoutError:
-                        # reap, don't abandon: cancel cooperatively and
-                        # wait for the structured partial — the worker
-                        # thread unwinds at its next budget check even
-                        # with a wedged exploration pool (the wait loop
-                        # polls the budget), and _run_query closes that
-                        # pool on its way out
+                        # cancel, don't abandon: cancel cooperatively
+                        # and wait for the structured partial — the
+                        # worker thread unwinds at its next budget check
                         token.cancel(_WATCHDOG_REASON)
                         self.watchdog_reaped += 1
                         response = await work
@@ -643,46 +634,25 @@ class ServeDaemon:
             self.pool.checkout(entry)
             try:
                 with entry.lock:
-                    # per-query worker knob on the pooled session: an
-                    # explicit request.workers switches the sharded
-                    # explorer on (execute honors it); an absent field
-                    # resets to the sequential path so one caller's
-                    # worker count never leaks into the next query
-                    if request.workers is None:
-                        entry.session.workers = 1
-                    try:
-                        # the query's root span: joins the client's trace
-                        # when the request carried a traceparent (else
-                        # mints a fresh trace), and parents everything
-                        # the procedure opens — explore, windows, worker
-                        # chunks — into one serve-to-worker span tree
-                        with trace_context(
-                            TraceContext.from_traceparent(request.traceparent)
-                        ), entry.session.tracer.span(
-                            "serve.query",
-                            procedure=request.procedure,
-                            request_id=request.request_id,
-                            workers=request.workers or 1,
-                        ):
-                            return execute(
-                                request,
-                                scheme=entry.scheme,
-                                session=entry.session,
-                                budget=budget,
-                                ledger=self.ledger,
-                                ledger_kind="serve",
-                            )
-                    finally:
-                        token = budget.cancel
-                        if token is not None and token.cancelled:
-                            # cancelled mid-query (watchdog timeout or
-                            # client hangup): the exploration worker
-                            # pool may be mid-window or the thing that
-                            # was stuck — reap it while still holding
-                            # the entry lock so no worker process
-                            # outlives its query (the session stays
-                            # pooled; the pool respawns lazily)
-                            entry.session.close()
+                    # the query's root span: joins the client's trace
+                    # when the request carried a traceparent (else mints
+                    # a fresh trace), and parents everything the
+                    # procedure opens into one client-to-explore tree
+                    with trace_context(
+                        TraceContext.from_traceparent(request.traceparent)
+                    ), entry.session.tracer.span(
+                        "serve.query",
+                        procedure=request.procedure,
+                        request_id=request.request_id,
+                    ):
+                        return execute(
+                            request,
+                            scheme=entry.scheme,
+                            session=entry.session,
+                            budget=budget,
+                            ledger=self.ledger,
+                            ledger_kind="serve",
+                        )
             finally:
                 self.pool.checkin(entry)
 
@@ -912,8 +882,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-query watchdog: cancel a query and reap its worker pool "
-        "past this many seconds of wall clock (default: none)",
+        help="per-query watchdog: cancel a query past this many seconds "
+        "of wall clock (default: none)",
     )
     parser.add_argument(
         "--ledger",

@@ -157,9 +157,6 @@ class SessionPool:
                 return  # everything busy; over-capacity is temporary
             victim = min(idle, key=lambda e: e.last_used)
             del self._entries[victim.fingerprint]
-            # release any exploration worker pool the session spawned;
-            # sequential sessions make this a no-op
-            victim.session.close()
             self.evictions += 1
 
     # ------------------------------------------------------------------

@@ -10,6 +10,10 @@ the ``comparable()`` view the serve differential gate is built on.
 
 import dataclasses
 import json
+import os
+import socket
+import urllib.request
+import uuid
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.api import (
 )
 from repro.obs import Ledger, scheme_fingerprint
 from repro.robust import Budget
+from repro.serve import daemon_in_thread
 from repro.zoo import FIG1_PROGRAM, mixed_grove, terminating_chain
 
 
@@ -86,6 +91,64 @@ class TestRequestValidation:
     def test_unknown_budget_keys_rejected(self):
         with pytest.raises(ApiError, match="unknown keys"):
             BudgetSpec.from_dict({"deadline": 1, "cores": 4})
+
+
+class TestRemovedWorkersField:
+    """``workers`` left the request when parallel exploration was
+    removed.  Clients built before that send ``"workers": null``, so the
+    sequential values still parse; any other value is a typed error."""
+
+    def _payload(self, **extra):
+        payload = AnalysisRequest(
+            procedure="boundedness", source=FIG1_PROGRAM
+        ).to_json_dict()
+        payload.update(extra)
+        return payload
+
+    @pytest.mark.parametrize("value", [None, 1])
+    def test_sequential_value_parses_and_is_answered_as_before(self, value):
+        request = AnalysisRequest.from_json_dict(self._payload(workers=value))
+        assert request == AnalysisRequest.from_json_dict(self._payload())
+        assert "workers" not in request.to_json_dict()
+        baseline = execute(
+            AnalysisRequest(procedure="boundedness", source=FIG1_PROGRAM)
+        )
+        assert execute(request).comparable() == baseline.comparable()
+
+    @pytest.mark.parametrize("value", [2, 4, 0, -1, True, 1.0, "1"])
+    def test_other_values_are_an_api_error(self, value):
+        with pytest.raises(ApiError, match="parallel exploration was removed"):
+            AnalysisRequest.from_json_dict(self._payload(workers=value))
+
+    def test_daemon_answers_workers_2_with_error_verdict(self):
+        tmp = f"/tmp/rpa-{uuid.uuid4().hex[:8]}"
+        os.makedirs(tmp, exist_ok=True)
+        sock = os.path.join(tmp, "s.sock")
+        with daemon_in_thread(sock, flight_dir=tmp, http_port=0) as daemon:
+            replies = []
+            for workers in (2, None):
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                    raw.connect(sock)
+                    line = json.dumps(self._payload(workers=workers))
+                    raw.sendall(line.encode("utf-8") + b"\n")
+                    replies.append(json.loads(raw.makefile("rb").readline()))
+            http = urllib.request.Request(
+                f"http://127.0.0.1:{daemon.bound_http_port}/v1/analyze",
+                data=json.dumps(self._payload(workers=2)).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(http, timeout=30) as answer:
+                over_http = json.loads(answer.read())
+        rejected, accepted = (r["response"] for r in replies)
+        for response in (rejected, over_http):
+            assert response["verdict"] == "error"
+            assert response["error"]["type"] == "ApiError"
+            assert "parallel exploration was removed" in response["error"]["message"]
+        baseline = execute(
+            AnalysisRequest(procedure="boundedness", source=FIG1_PROGRAM)
+        )
+        served = AnalysisResponse.from_json_dict(accepted)
+        assert served.comparable() == baseline.comparable()
 
 
 class TestResponseRoundTrip:

@@ -567,7 +567,6 @@ def _synthetic_entries(count=4):
             },
             spans={"boundedness": {"count": 1, "wall": 0.05, "self": 0.04}},
             outcome="ok" if index % 2 == 0 else "partial",
-            extra={"workers": 2, "worker_expansions": {"0": 10 + index, "1": 12}},
         )
         entries.append(entry)
     return entries

@@ -31,6 +31,7 @@ from repro.obs import (
     current_span,
     hot_spans,
     load_records,
+    registry_from_dict,
     render_report,
 )
 from repro.zoo import ZOO_ALL, fig2_scheme
@@ -368,6 +369,16 @@ class TestSessionObservability:
         progress = [e for e in sink.events() if e["name"] == "explore.progress"]
         assert progress
         assert {"states", "transitions", "frontier"} <= progress[-1]["attrs"].keys()
+
+    def test_registry_round_trips_through_dict(self):
+        session = AnalysisSession(fig2_scheme())
+        boundedness(session.scheme, session=session)
+        snapshot = session.sync_metrics().as_dict()
+        # counters, gauges, histograms and labelled children all present
+        assert snapshot["session.queries"]["labels"]
+        assert snapshot["session.query_seconds"]["type"] == "histogram"
+        rebuilt = registry_from_dict(snapshot)
+        assert rebuilt.as_dict() == snapshot
 
     @pytest.mark.parametrize("name", ["fig2", "spawner", "mutex"])
     def test_differential_tracing_never_changes_verdicts(self, name):

@@ -22,9 +22,10 @@ import uuid
 
 import pytest
 
+from repro.analysis import AnalysisSession
 from repro.api import AnalysisRequest, BudgetSpec, execute
 from repro.obs import Ledger, scheme_fingerprint
-from repro.serve import ServeClient, daemon_in_thread
+from repro.serve import ServeClient, ServeOverloaded, daemon_in_thread
 from repro.zoo import (
     FIG1_PROGRAM,
     deep_pipeline,
@@ -277,55 +278,210 @@ class TestCancellation:
         assert entry["procedures"]["boundedness"]["verdict"] == "partial"
         assert entry["procedures"]["boundedness"]["resource"] == "cancelled"
 
-    def test_disconnect_during_sharded_query_reaps_worker_pool(self, served):
-        """Hanging up on a ``workers=2`` query cancels it *and* reaps the
-        pooled session's exploration worker pool: no orphan processes."""
-        daemon, sock, ledger = served
-        scheme = mixed_grove(3, 3)  # big enough to still be running
-        pooled = daemon.pool.adopt(scheme)
-        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        raw.connect(sock)
-        request = AnalysisRequest(
-            procedure="boundedness",
-            fingerprint=pooled.fingerprint,
-            params={"max_states": 2_000_000},
-            workers=2,
-            request_id="rq-hangup-par",
+
+OCCUPIER_CAP = 30000  # boundedness on mixed_grove(3, 3): seconds, not ms
+
+
+def _occupy(client, box):
+    """Run the long occupier query; stash the response/exception in *box*."""
+    try:
+        box["response"] = client.query(
+            "boundedness",
+            fingerprint=box["fingerprint"],
+            max_states=OCCUPIER_CAP,
         )
-        raw.sendall(json.dumps(request.to_json_dict()).encode() + b"\n")
-        deadline = time.time() + 30
-        workers = []
-        while time.time() < deadline and not workers:
-            pool = pooled.session._pool  # materialises once sharding starts
-            if pool is not None:
-                workers = [handle.process for handle in pool.workers]
-            else:
-                time.sleep(0.05)
-        assert len(workers) == 2, "sharded query never spun up its pool"
-        # shutdown(2), not just close(): the forked exploration workers
-        # inherited this (same-process) client fd, so a bare close would
-        # never send the FIN a real remote client's hangup sends
-        raw.shutdown(socket.SHUT_RDWR)
-        raw.close()  # hang up mid-window
-        deadline = time.time() + 30
-        entries = []
-        while time.time() < deadline and not entries:
-            entries = [
-                e
-                for e in ledger.entries()
-                if e["extra"].get("request_id") == "rq-hangup-par"
-            ]
-            time.sleep(0.1)
-        assert entries, "cancelled sharded query never reached the ledger"
-        entry = entries[0]
-        assert entry["outcome"] == "partial"
-        assert entry["procedures"]["boundedness"]["resource"] == "cancelled"
-        assert pooled.session._pool is None, "cancel must reap the pool"
-        deadline = time.time() + 30
-        while time.time() < deadline and any(p.is_alive() for p in workers):
-            time.sleep(0.05)
-        for process in workers:
-            assert not process.is_alive(), "orphaned exploration worker"
+    except Exception as exc:  # noqa: BLE001 - surfaced by the test body
+        box["error"] = exc
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
+
+
+class TestServeResilience:
+    """Load shedding, retry, health, watchdog, reconnect."""
+
+    def _daemon_dir(self):
+        tmp = f"/tmp/rpp-{uuid.uuid4().hex[:8]}"
+        os.makedirs(tmp, exist_ok=True)
+        return tmp, os.path.join(tmp, "s.sock")
+
+    def test_overload_sheds_structured_and_retry_succeeds(self):
+        tmp, sock = self._daemon_dir()
+        grove = mixed_grove(3, 3)
+        quick = wide_mix(3)
+        with daemon_in_thread(
+            sock, flight_dir=tmp, concurrency=1, max_queue=0
+        ) as daemon:
+            daemon.pool.adopt(grove)
+            daemon.pool.adopt(quick)
+            box = {"fingerprint": scheme_fingerprint(grove)}
+            occupier = ServeClient(sock, timeout=300.0)
+            thread = threading.Thread(target=_occupy, args=(occupier, box))
+            thread.start()
+            try:
+                assert _wait_until(lambda: daemon._pending >= 1)
+                # no retry budget: the shed surfaces as ServeOverloaded
+                with ServeClient(sock, max_retries=0) as impatient:
+                    with pytest.raises(ServeOverloaded) as shed:
+                        impatient.query(
+                            "halts",
+                            fingerprint=scheme_fingerprint(quick),
+                            max_states=400,
+                        )
+                assert shed.value.retry_after > 0
+                assert daemon.shed >= 1
+                # a patient client rides retry_after/backoff to the verdict
+                with ServeClient(
+                    sock, max_retries=60, backoff=0.2, backoff_max=2.0
+                ) as patient:
+                    response = patient.query(
+                        "halts",
+                        fingerprint=scheme_fingerprint(quick),
+                        max_states=400,
+                    )
+                    assert response.ok
+                    assert patient.retries >= 1
+            finally:
+                thread.join(timeout=300.0)
+                occupier.close()
+            assert not thread.is_alive()
+            assert "error" not in box, f"occupier failed: {box.get('error')!r}"
+            # the accepted query was never disturbed by the shed traffic
+            local = execute(
+                AnalysisRequest(
+                    procedure="boundedness",
+                    fingerprint=box["fingerprint"],
+                    params={"max_states": OCCUPIER_CAP},
+                ),
+                scheme=grove,
+                session=AnalysisSession(grove),
+            )
+            assert box["response"].comparable() == local.comparable()
+
+    def test_health_endpoint_reports_readiness(self):
+        tmp, sock = self._daemon_dir()
+        grove = mixed_grove(3, 3)
+        with daemon_in_thread(
+            sock, flight_dir=tmp, http_port=0, concurrency=1, max_queue=0
+        ) as daemon:
+            daemon.pool.adopt(grove)
+            base = f"http://127.0.0.1:{daemon.bound_http_port}"
+            payload = json.loads(
+                urllib.request.urlopen(f"{base}/v1/health", timeout=10).read()
+            )
+            assert payload["live"] is True and payload["ready"] is True
+            box = {"fingerprint": scheme_fingerprint(grove)}
+            occupier = ServeClient(sock, timeout=300.0)
+            thread = threading.Thread(target=_occupy, args=(occupier, box))
+            thread.start()
+            try:
+                assert _wait_until(lambda: daemon._pending >= 1)
+                try:
+                    urllib.request.urlopen(f"{base}/v1/health", timeout=10)
+                    pytest.fail("saturated daemon must answer 503")
+                except urllib.error.HTTPError as error:
+                    assert error.code == 503
+                    busy = json.loads(error.read())
+                    assert busy["live"] is True and busy["ready"] is False
+                # HTTP analyze sheds with 429 + structured retry hint
+                request = urllib.request.Request(
+                    f"{base}/v1/analyze",
+                    data=json.dumps(
+                        {
+                            "schema": "rpcheck-request/1",
+                            "procedure": "halts",
+                            "fingerprint": box["fingerprint"],
+                            "params": {"max_states": 400},
+                        }
+                    ).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                try:
+                    urllib.request.urlopen(request, timeout=10)
+                    pytest.fail("saturated daemon must answer 429")
+                except urllib.error.HTTPError as error:
+                    assert error.code == 429
+                    body = json.loads(error.read())
+                    assert body["error"] == "overloaded"
+                    assert body["retry_after"] > 0
+            finally:
+                thread.join(timeout=300.0)
+                occupier.close()
+            assert "error" not in box, f"occupier failed: {box.get('error')!r}"
+
+    def test_client_reconnects_across_daemon_restart(self):
+        tmp, sock = self._daemon_dir()
+        quick = wide_mix(3)
+        fingerprint = scheme_fingerprint(quick)
+        client = None
+        try:
+            with daemon_in_thread(sock, flight_dir=tmp) as daemon:
+                daemon.pool.adopt(quick)
+                client = ServeClient(sock, max_retries=60, backoff=0.1)
+                first = client.query(
+                    "halts", fingerprint=fingerprint, max_states=400
+                )
+                assert first.ok
+            # daemon gone; the held connection is now dead
+            with daemon_in_thread(sock, flight_dir=tmp) as daemon:
+                daemon.pool.adopt(quick)
+                second = client.query(
+                    "halts", fingerprint=fingerprint, max_states=400
+                )
+                assert second.ok
+                assert client.retries >= 1
+                assert second.comparable() == first.comparable()
+        finally:
+            if client is not None:
+                client.close()
+
+    def test_watchdog_cancels_stuck_query(self):
+        tmp, sock = self._daemon_dir()
+        grove = mixed_grove(3, 3)
+        fingerprint = scheme_fingerprint(grove)
+        with daemon_in_thread(
+            sock, flight_dir=tmp, query_timeout=1.0
+        ) as daemon:
+            daemon.pool.adopt(grove)
+            with ServeClient(sock, timeout=300.0) as client:
+                started = time.monotonic()
+                response = client.query(
+                    "boundedness",
+                    fingerprint=fingerprint,
+                    max_states=OCCUPIER_CAP,
+                )
+                elapsed = time.monotonic() - started
+                assert response.verdict == "unknown"
+                assert response.partial is not None
+                assert response.partial["resource"] == "cancelled"
+                assert elapsed < 30.0, "watchdog must cut the query short"
+                assert daemon.watchdog_reaped == 1
+                # the cancelled query left the pooled session resumable:
+                # the same session answers a follow-up query correctly
+                follow_up = client.query(
+                    "halts", fingerprint=fingerprint, max_states=400
+                )
+            entry = daemon.pool.get(fingerprint)
+            assert entry is not None
+            assert entry.queries == 2
+            assert daemon.watchdog_reaped == 1
+        local = execute(
+            AnalysisRequest(
+                procedure="halts",
+                fingerprint=fingerprint,
+                params={"max_states": 400},
+            ),
+            scheme=grove,
+            session=AnalysisSession(grove),
+        )
+        assert follow_up.ok
+        assert follow_up.comparable() == local.comparable()
 
 
 class TestRequestIsolation:
@@ -488,9 +644,8 @@ class TestIntrospection:
         assert excinfo.value.code == 400
 
     def test_metrics_scrape_while_queries_stream(self, served_http):
-        """The acceptance gate: /v1/metrics answers valid Prometheus —
-        including the per-worker ``parallel.*`` series — while sharded
-        queries are actively streaming through the daemon."""
+        """The acceptance gate: /v1/metrics answers valid Prometheus
+        while queries are actively streaming through the daemon."""
         daemon, sock, port = served_http
         fingerprint = scheme_fingerprint(FAMILIES["grove2x3"])
         stop = threading.Event()
@@ -503,7 +658,6 @@ class TestIntrospection:
                         client.query(
                             "boundedness",
                             fingerprint=fingerprint,
-                            workers=2,
                             stream=True,
                             on_event=lambda record: None,
                         )
@@ -514,7 +668,7 @@ class TestIntrospection:
         thread.start()
         try:
             deadline = time.time() + 60
-            worker_series = []
+            scrapes = 0
             while time.time() < deadline:
                 status, content_type, body = self._http_get(port, "/v1/metrics")
                 assert status == 200
@@ -527,26 +681,19 @@ class TestIntrospection:
                         f"invalid exposition line: {line!r}"
                     )
                 assert "serve_served_total" in body
-                worker_series = [
-                    line
-                    for line in body.splitlines()
-                    if line.startswith("parallel_") and 'worker="' in line
-                ]
-                if worker_series:
+                scrapes += 1
+                # keep scraping until queries have completed between
+                # scrapes, so the exposition was read mid-stream
+                if scrapes >= 3 and daemon.served >= 2:
                     break
                 time.sleep(0.2)
         finally:
             stop.set()
             thread.join(timeout=60)
         assert not failures
-        assert worker_series, "no parallel.*{worker=i} series ever appeared"
-        workers_seen = {
-            match.group(1)
-            for line in worker_series
-            for match in [re.search(r'worker="([^"]+)"', line)]
-            if match
-        }
-        assert len(workers_seen) >= 2
+        assert scrapes >= 3 and daemon.served >= 2, (
+            f"only {scrapes} scrapes over {daemon.served} served queries"
+        )
 
     def test_unknown_route_is_404(self, served_http):
         _, _, port = served_http
